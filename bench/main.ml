@@ -1561,10 +1561,9 @@ let serve_soak_section () =
        | [] -> false)
   in
   (* gate 2: throughput must not collapse as workers grow. On a
-     single-core host extra domains cannot run in parallel (serve
-     deliberately does not clamp --jobs, for IO-bound streams), so the
+     single-core host every worker count resolves to one domain, so the
      gate is skipped there — explicitly, not vacuously. *)
-  let multi_core = Scheduler.default_domains () > 1 in
+  let multi_core = Roccc_service.Pool.recommended () > 1 in
   let tolerance = 0.9 in
   let rps_of (_, rs, wall, _) = float_of_int (List.length rs) /. wall in
   let throughput_ok =

@@ -99,8 +99,9 @@ let disk_magic = "ROCCC-ART2"
 (* [save_artifact] writes <key>.art.tmp.<pid> then renames; a process
    that dies between the two strands the tmp file forever (the pid in the
    name means no later process ever reuses it). Sweep the debris when the
-   cache opens — but only debris: in a multi-process farm a sibling serve
-   process may be mid-write at that very moment, so a tmp file is removed
+   cache opens — but only debris: among processes sharing the disk
+   directory (a [batch --cache] beside a [serve]) a sibling may be
+   mid-write at that very moment, so a tmp file is removed
    only when its owning pid is dead, or (when the pid cannot be read or
    is recycled) its mtime is older than a generous threshold. A live
    sibling's in-flight write is never deleted. *)
@@ -368,8 +369,9 @@ let store (t : t) (key : Fingerprint.t) (v : value) : unit =
    when done, success or failure); every concurrent caller of the same
    key blocks until the leader exits and is told it was coalesced — it
    then finds the leader's artifact in the cache instead of recompiling.
-   The registry spans only this process; across farm processes the
-   shared disk tier deduplicates at artifact granularity instead. *)
+   The registry spans only this process; across processes sharing the
+   disk directory, the disk tier deduplicates at artifact granularity
+   instead. *)
 let enter_flight (t : t) (key : Fingerprint.t) : [ `Leader | `Coalesced ] =
   let hex = Fingerprint.to_hex key in
   Mutex.lock t.fl_lock;

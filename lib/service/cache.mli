@@ -81,8 +81,8 @@ val create : ?shards:int -> ?disk_dir:string -> unit -> t
 val sweep_stale_tmp :
   ?max_age_s:float -> ?pid_alive:(int -> bool) -> string -> int
 (** Remove stranded [*.art.tmp.<pid>] write-temporaries from a cache
-    directory, returning how many were removed. Safe for multi-process
-    farms sharing the directory: a tmp file is removed only when its
+    directory, returning how many were removed. Safe for processes
+    sharing the disk directory: a tmp file is removed only when its
     owning pid is dead ([kill pid 0] raises [ESRCH]) or its mtime is
     older than [max_age_s] (default 600 s) — a live sibling's in-flight
     write is never deleted. [pid_alive] is injectable for tests.
@@ -95,8 +95,9 @@ val enter_flight : t -> Fingerprint.t -> [ `Leader | `Coalesced ]
     means a concurrent leader for the same key was already executing —
     the call blocked until that leader exited, and the caller should
     re-probe {!find} for the leader's artifact instead of compiling.
-    The registry spans one process; across farm processes the shared
-    disk tier deduplicates at artifact granularity instead. *)
+    The registry spans one process; across processes sharing the disk
+    directory, the disk tier deduplicates at artifact granularity
+    instead. *)
 
 val exit_flight : t -> Fingerprint.t -> unit
 (** End the caller's leadership of [key], waking every coalesced

@@ -24,7 +24,13 @@
 
 let recommended () = max 1 (Domain.recommended_domain_count ())
 
-let resolve (n : int) : int = if n <= 0 then recommended () else n
+(* The one worker-count rule: 0 (or less) means auto, and any request
+   is clamped to the hardware parallelism — more domains than cores run
+   nothing in parallel but still pay domain start-up and stop-the-world
+   GC synchronisation per extra domain. *)
+let resolve (n : int) : int =
+  let hw = recommended () in
+  if n <= 0 then hw else min n hw
 
 type t = {
   size : int;  (* spawned domains; worker slots are 1..size *)

@@ -12,8 +12,9 @@ val recommended : unit -> int
     at 1. *)
 
 val resolve : int -> int
-(** [resolve n] is [n] for positive [n] and {!recommended} for [n <= 0]
-    — the shared "[0] means auto" worker-count convention. *)
+(** [resolve n] is the one worker-count rule under [serve], [batch] and
+    [tune]: {!recommended} for [n <= 0] ("[0] means auto"), otherwise
+    [n] clamped to {!recommended}. *)
 
 type t
 (** A detached pool of spawned worker domains. *)

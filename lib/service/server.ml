@@ -36,7 +36,7 @@ let now = Unix.gettimeofday
 (* ------------------------------------------------------------------ *)
 
 type limits = {
-  workers : int;       (* worker domains; 0 = Scheduler.default_domains *)
+  workers : int;       (* worker domains; 0 = auto, see Pool.resolve *)
   queue_depth : int;   (* admission queue bound *)
   deadline_ms : float option;  (* default per-request deadline *)
   max_request_bytes : int;     (* request line length bound *)
@@ -302,7 +302,6 @@ type t = {
   base_config : Pass.config;
   cache : Cache.t option;
   trace : Trace.t option;
-  status_path : string option;  (* farm children publish health here *)
   metrics : Metrics.t;
   queue : pending Queue.t;
   lock : Mutex.t;
@@ -316,8 +315,7 @@ type t = {
   stop_flag : bool Atomic.t; (* SIGTERM / shutdown request *)
 }
 
-let create ?cache ?config ?trace ?(limits = default_limits) ?status_path ()
-    : t =
+let create ?cache ?config ?trace ?(limits = default_limits) () : t =
   let base =
     match config with Some c -> c | None -> Pass.default_config ()
   in
@@ -338,7 +336,6 @@ let create ?cache ?config ?trace ?(limits = default_limits) ?status_path ()
     base_config;
     cache;
     trace;
-    status_path;
     (* one response-count slot per worker tid, plus slot 0 for the
        reader threads' own answers (health, rejects, sheds) *)
     metrics = Metrics.create ~worker_slots:(workers + 1) ();
@@ -530,25 +527,6 @@ let wait_idle (srv : t) : unit =
         Condition.wait srv.idle srv.lock
       done)
 
-(* Publish the health snapshot to the status file (atomically, via the
-   pid-suffixed tmp + rename dance the disk cache uses) so a farm
-   supervisor can aggregate across children it cannot query directly.
-   Written after each drain and each health request. *)
-let write_status (srv : t) : unit =
-  Option.iter
-    (fun path ->
-      let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-      match open_out tmp with
-      | exception Sys_error _ -> ()
-      | oc ->
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            output_string oc (Json.to_string (health_json srv));
-            output_char oc '\n');
-        (try Sys.rename tmp path with Sys_error _ -> ()))
-    srv.status_path
-
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -711,7 +689,6 @@ let admit (srv : t) (conn : conn) (line : string) : bool =
           [ "id", rq_id;
             "status", Json.Str "ok";
             "health", health_json srv ];
-        write_status srv;
         true
       | Ok { rq_id; rq_kind = Shutdown } ->
         Metrics.incr_health srv.metrics;
@@ -802,7 +779,6 @@ let serve (srv : t) (ic : in_channel) (oc : out_channel) : Metrics.snapshot =
       Condition.broadcast srv.work_ready);
   Pool.join pool;
   forget_conn srv conn;
-  write_status srv;
   Metrics.snapshot srv.metrics
 
 (* ------------------------------------------------------------------ *)
@@ -884,5 +860,4 @@ let serve_socket ?(poll_interval_s = 0.05) (srv : t)
       srv.draining <- true;
       Condition.broadcast srv.work_ready);
   Pool.join pool;
-  write_status srv;
   Metrics.snapshot srv.metrics

@@ -22,7 +22,9 @@
     admitted requests are answered) and never stalls the others. *)
 
 type limits = {
-  workers : int;  (** worker domains; [0] picks the hardware default *)
+  workers : int;
+      (** worker domains; [0] picks the hardware default, and larger
+          requests are clamped to it ({!Pool.resolve}) *)
   queue_depth : int;  (** bound on the admission queue; beyond it, shed *)
   deadline_ms : float option;
       (** default per-request deadline; a request's own [deadline_ms]
@@ -68,15 +70,10 @@ val create :
   ?config:Roccc_core.Pass.config ->
   ?trace:Trace.t ->
   ?limits:limits ->
-  ?status_path:string ->
   unit ->
   t
 (** The server value owns the metrics and may serve several request
-    streams in sequence; metrics and cache persist across streams.
-    [status_path], when given, is a file the server atomically rewrites
-    with its {!health_json} after each drain and each health request —
-    the farm supervisor aggregates these across children it cannot query
-    directly. *)
+    streams in sequence; metrics and cache persist across streams. *)
 
 val serve : t -> in_channel -> out_channel -> Metrics.snapshot
 (** Serve one stream: spawn the workers, admit until EOF / a shutdown

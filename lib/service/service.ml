@@ -368,7 +368,7 @@ let run_batch ?cache ?config ?trace ?(num_domains = 0) (jobs : job list) :
   let t0 = now () in
   let arr = Array.of_list jobs in
   let domains =
-    if num_domains <= 0 then Scheduler.default_domains () else num_domains
+    if num_domains <= 0 then Pool.recommended () else num_domains
   in
   let workers =
     Scheduler.effective_workers ~num_domains:domains (Array.length arr)

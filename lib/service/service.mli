@@ -129,7 +129,7 @@ val run_batch :
   job list ->
   report
 (** Run a batch across up to [num_domains] workers ([<= 0] or omitted:
-    {!Scheduler.default_domains}). One kernel's failure does not affect
+    {!Pool.recommended}). One kernel's failure does not affect
     the other jobs. *)
 
 val describe_error : exn -> string option

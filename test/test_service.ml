@@ -284,17 +284,19 @@ let test_scheduler_deterministic_slots () =
     results
 
 let test_effective_workers () =
-  let hw = Scheduler.default_domains () in
+  let hw = Pool.recommended () in
   Alcotest.(check int) "clamped to the job count" 1
     (Scheduler.effective_workers ~num_domains:8 1);
   Alcotest.(check int) "clamped to the hardware parallelism" hw
     (Scheduler.effective_workers ~num_domains:(hw * 4) 64);
   Alcotest.(check int) "zero request means the default" (min hw 64)
     (Scheduler.effective_workers ~num_domains:0 64);
-  Alcotest.(check int) "clamp:false honors oversubscription" (hw * 2)
-    (Scheduler.effective_workers ~clamp:false ~num_domains:(hw * 2) 64);
   Alcotest.(check int) "empty batch still gets one worker" 1
-    (Scheduler.effective_workers ~num_domains:4 0)
+    (Scheduler.effective_workers ~num_domains:4 0);
+  (* the server's rule: no job-count cap, same hardware clamp *)
+  Alcotest.(check int) "Pool.resolve clamps a serve request" hw
+    (Pool.resolve (hw * 4));
+  Alcotest.(check int) "Pool.resolve 0 means auto" hw (Pool.resolve 0)
 
 let test_scheduler_chunk_edge_cases () =
   let jobs = Array.init 7 (fun i -> i) in
@@ -1078,7 +1080,11 @@ let test_serve_fault_soak () =
             (Some snapshot.Metrics.s_ok)
             (Option.bind (Json.member "ok" requests) Json.to_int_opt)))
 
-let test_health_reports_farm () =
+let test_health_reports_workers () =
+  (* the request is reported as configured; the effective count is
+     clamped to the hardware parallelism, with one request slot per
+     worker plus the admission slot *)
+  let effective = min 2 (Pool.recommended ()) in
   let limits = { Server.default_limits with Server.workers = 2 } in
   let cache = Cache.create ~shards:4 () in
   let lines =
@@ -1091,12 +1097,12 @@ let test_health_reports_farm () =
   let workers = Option.get (Json.member "workers" health) in
   Alcotest.(check (option int)) "configured workers" (Some 2)
     (Option.bind (Json.member "configured" workers) Json.to_int_opt);
-  Alcotest.(check (option int)) "effective workers" (Some 2)
+  Alcotest.(check (option int)) "effective workers" (Some effective)
     (Option.bind (Json.member "effective" workers) Json.to_int_opt);
   (match Json.member "requests" workers with
   | Some (Json.Arr l) ->
-    Alcotest.(check int) "a request slot per worker plus admission" 3
-      (List.length l)
+    Alcotest.(check int) "a request slot per worker plus admission"
+      (effective + 1) (List.length l)
   | _ -> Alcotest.fail "workers.requests missing");
   let cache_j = Option.get (Json.member "cache" health) in
   Alcotest.(check (option int)) "shard_count" (Some 4)
@@ -1128,8 +1134,6 @@ let test_pass_cancellation_hook () =
   match Driver.compile ~config:benign ~entry:"fir" fir_source with
   | _ -> ()
   | exception _ -> Alcotest.fail "benign cancel hook broke compilation"
-
-module Farm = Roccc_service.Farm
 
 (* ------------------------------------------------------------------ *)
 (* Single-flight deduplication                                         *)
@@ -1401,181 +1405,6 @@ let test_serve_socket_eof_isolated () =
       | Error msg -> Alcotest.fail ("bad response: " ^ msg))
     [ before_eof, "b0"; after_eof, "b1" ]
 
-(* ------------------------------------------------------------------ *)
-(* The farm supervisor                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_farm_restarts_killed_child () =
-  (* The supervisor must be exercised as a real process: OCaml 5 forbids
-     Unix.fork in any process that ever created a domain, and the test
-     binary spawns domains freely — so drive the installed `roccc farm`
-     binary end-to-end instead. *)
-  let roccc =
-    Filename.concat
-      (Filename.concat
-         (Filename.dirname (Filename.dirname Sys.executable_name))
-         "bin")
-      "roccc.exe"
-  in
-  Alcotest.(check bool) "roccc binary built" true (Sys.file_exists roccc);
-  let dir = fresh_tmp_dir "roccc_farm" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let sock_path = Filename.concat dir "fm.sock" in
-      let state_dir = Filename.concat dir "st" in
-      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-      let log =
-        Unix.openfile
-          (Filename.concat dir "farm.log")
-          [ Unix.O_WRONLY; Unix.O_CREAT ]
-          0o644
-      in
-      let sup =
-        Unix.create_process roccc
-          [| "roccc"; "farm"; "--socket"; sock_path; "--procs"; "2";
-             "--state-dir"; state_dir; "-j"; "1" |]
-          null null log
-      in
-      Unix.close null;
-      Unix.close log;
-      let sup_done = ref None in
-      let finally () =
-        if !sup_done = None then begin
-          (try Unix.kill sup Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] sup)
-        end
-      in
-      Fun.protect ~finally (fun () ->
-          let farm_json () =
-            match open_in (Farm.farm_file state_dir) with
-            | exception Sys_error _ -> None
-            | ic ->
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () ->
-                  match input_line ic with
-                  | line -> Result.to_option (Json.parse line)
-                  | exception End_of_file -> None)
-          in
-          let child_pid index =
-            Option.bind (farm_json ()) (fun j ->
-                match Json.member "children" j with
-                | Some (Json.Arr kids) ->
-                  Option.bind (List.nth_opt kids index) (fun kid ->
-                      Option.bind (Json.member "pid" kid) Json.to_int_opt)
-                | _ -> None)
-          in
-          let await ?(timeout_s = 30.0) what cond =
-            let deadline = Unix.gettimeofday () +. timeout_s in
-            let rec poll () =
-              match cond () with
-              | Some v -> v
-              | None ->
-                if Unix.gettimeofday () > deadline then
-                  Alcotest.fail ("timed out waiting for " ^ what)
-                else begin
-                  Unix.sleepf 0.02;
-                  poll ()
-                end
-            in
-            poll ()
-          in
-          let pid0 =
-            await "farm to come up" (fun () ->
-                if Sys.file_exists sock_path then child_pid 0 else None)
-          in
-          (* hard-kill child 0; the supervisor must fork a replacement *)
-          Unix.kill pid0 Sys.sigkill;
-          let pid0' =
-            await "restart" (fun () ->
-                match child_pid 0 with
-                | Some p when p <> pid0 && p <> 0 -> Some p
-                | _ -> None)
-          in
-          Alcotest.(check bool) "replacement is a new pid" true
-            (pid0' <> pid0);
-          (* the restarted farm still serves: compile, then shut down
-             through the protocol; a clean child exit must bring the
-             whole farm down *)
-          let fd, ic, oc = connect_client sock_path in
-          let compiled = rpc oc ic (compile_request ~id:"after" 5) in
-          (match Json.parse compiled with
-          | Ok j -> Alcotest.(check string) "farm serves after restart" "ok"
-              (status_of j)
-          | Error msg -> Alcotest.fail ("bad response: " ^ msg));
-          let shutdown = rpc oc ic {|{"id":"s","type":"shutdown"}|} in
-          (match Json.parse shutdown with
-          | Ok j -> Alcotest.(check string) "shutdown ok" "ok" (status_of j)
-          | Error msg -> Alcotest.fail ("bad response: " ^ msg));
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          let status =
-            await "supervisor exit" (fun () ->
-                match Unix.waitpid [ Unix.WNOHANG ] sup with
-                | 0, _ -> None
-                | _, st -> Some st
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> None)
-          in
-          sup_done := Some status;
-          (match status with
-          | Unix.WEXITED 0 -> ()
-          | st ->
-            Alcotest.fail
-              (Printf.sprintf "supervisor did not exit cleanly: %s"
-                 (match st with
-                 | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-                 | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
-                 | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n)));
-          (* the final pid table records the restart *)
-          match farm_json () with
-          | None -> Alcotest.fail "farm.json missing after shutdown"
-          | Some j -> (
-            match Json.member "children" j with
-            | Some (Json.Arr kids) ->
-              let restarts =
-                List.fold_left
-                  (fun acc kid ->
-                    acc
-                    + Option.value ~default:0
-                        (Option.bind (Json.member "restarts" kid)
-                           Json.to_int_opt))
-                  0 kids
-              in
-              Alcotest.(check int) "one restart recorded" 1 restarts
-            | _ -> Alcotest.fail "farm.json has no children")))
-
-let test_farm_aggregate_health () =
-  let dir = fresh_tmp_dir "roccc_agg" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let write name contents =
-        let oc = open_out (Filename.concat dir name) in
-        output_string oc (contents ^ "\n");
-        close_out oc
-      in
-      write "child-0.json"
-        {|{"pid":10,"requests":{"ok":3,"failed":1},"workers":[1,2]}|};
-      write "child-1.json"
-        {|{"pid":20,"requests":{"ok":4,"failed":0},"workers":[3,4]}|};
-      write "not-a-child.txt" "ignored";
-      let agg = Farm.aggregate_health ~state_dir:dir in
-      Alcotest.(check (option int)) "both snapshots found" (Some 2)
-        (Option.bind (Json.member "children_reporting" agg) Json.to_int_opt);
-      let a = Option.get (Json.member "aggregate" agg) in
-      let reqs = Option.get (Json.member "requests" a) in
-      Alcotest.(check (option int)) "ok summed" (Some 7)
-        (Option.bind (Json.member "ok" reqs) Json.to_int_opt);
-      Alcotest.(check (option int)) "failed summed" (Some 1)
-        (Option.bind (Json.member "failed" reqs) Json.to_int_opt);
-      match Json.member "workers" a with
-      | Some (Json.Arr [ x; y ]) ->
-        Alcotest.(check (option int)) "arrays merge element-wise" (Some 4)
-          (Json.to_int_opt x);
-        Alcotest.(check (option int)) "second element" (Some 6)
-          (Json.to_int_opt y)
-      | _ -> Alcotest.fail "aggregate workers not a 2-array")
-
 let suites =
   [ "service",
     [ Alcotest.test_case "cache hit on identical job" `Quick
@@ -1631,7 +1460,7 @@ let suites =
         test_json_roundtrip;
       Alcotest.test_case "pass-boundary cancellation hook" `Quick
         test_pass_cancellation_hook ];
-    "service.farm",
+    "service.concurrency",
     [ Alcotest.test_case "pool run covers every tid" `Quick
         test_pool_run_covers_tids;
       Alcotest.test_case "pool spawn/join tids" `Quick
@@ -1642,16 +1471,12 @@ let suites =
         test_shard_rounding_and_sums;
       Alcotest.test_case "N-domain cache hammer" `Slow
         test_cache_hammer_across_domains;
-      Alcotest.test_case "health reports the farm" `Quick
-        test_health_reports_farm;
+      Alcotest.test_case "health reports workers and shards" `Quick
+        test_health_reports_workers;
       Alcotest.test_case "single-flight dedup executes once" `Quick
         test_single_flight_dedup;
       Alcotest.test_case "tmp sweep respects live pids" `Quick
-        test_tmp_sweep_respects_live_pids;
-      Alcotest.test_case "supervisor restarts a killed child" `Quick
-        test_farm_restarts_killed_child;
-      Alcotest.test_case "aggregate health sums children" `Quick
-        test_farm_aggregate_health ];
+        test_tmp_sweep_respects_live_pids ];
     "service.serve",
     [ Alcotest.test_case "protocol round-trip" `Quick
         test_serve_protocol_roundtrip;
