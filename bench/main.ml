@@ -733,30 +733,42 @@ type pl_row = {
   pl_greedy_bits : int;
   pl_retimed_bits : int;
   pl_moves : int;
+  pl_retime_ms : float;  (** the retiming pass span; report-only *)
 }
 
 let pipeline_section () =
   section
     "Pipelining - slack-based retiming vs greedy latch placement \
      (latch-bit / clock Pareto)";
-  let kernels =
-    [ "fir", Kernels.fir.Kernels.source, "fir",
-      Kernels.fir.Kernels.tune Driver.default_options,
-      Kernels.fir.Kernels.luts;
-      "dct", Kernels.dct.Kernels.source, "dct",
-      Kernels.dct.Kernels.tune Driver.default_options, Kernels.dct.Kernels.luts;
-      "acc", Kernels.paper_acc_source, "acc", Driver.default_options, [] ]
+  let grid = [ 3.0; 5.0; 8.0 ] in
+  let gallery (b : Kernels.benchmark) targets =
+    b.Kernels.bench_name, b.Kernels.source, b.Kernels.entry,
+    b.Kernels.tune Driver.default_options, b.Kernels.luts, targets
   in
-  Printf.printf "%-8s %9s %7s %10s | %11s %12s %6s\n" "kernel" "target"
-    "stages" "clock" "greedy bits" "retimed bits" "moves";
+  (* square_root and udiv are the busiest retimer runs of the gallery:
+     their rows show where retiming time goes *)
+  let kernels =
+    [ gallery Kernels.fir grid;
+      gallery Kernels.dct grid;
+      "acc", Kernels.paper_acc_source, "acc", Driver.default_options, [], grid;
+      gallery Kernels.square_root [ 5.0 ];
+      gallery Kernels.udiv [ 5.0 ] ]
+  in
+  Printf.printf "%-12s %9s %7s %10s | %11s %12s %6s %10s\n" "kernel" "target"
+    "stages" "clock" "greedy bits" "retimed bits" "moves" "retime ms";
   hr ();
   let rows =
     List.concat_map
-      (fun (name, source, entry, options, luts) ->
+      (fun (name, source, entry, options, luts, targets) ->
         List.map
           (fun tns ->
+            let retime_s = ref 0.0 in
+            let instrument (ps : Driver.pass_stats) =
+              if ps.Driver.pass_name = "retiming" then
+                retime_s := ps.Driver.elapsed_s
+            in
             let c =
-              Driver.compile
+              Driver.compile ~instrument
                 ~options:{ options with Driver.target_ns = tns }
                 ~luts ~entry source
             in
@@ -768,13 +780,16 @@ let pipeline_section () =
                 pl_clock_mhz = p.Pipeline.clock_mhz;
                 pl_greedy_bits = p.Pipeline.greedy_latch_bits;
                 pl_retimed_bits = p.Pipeline.latch_bits;
-                pl_moves = p.Pipeline.retime_moves }
+                pl_moves = p.Pipeline.retime_moves;
+                pl_retime_ms = 1e3 *. !retime_s }
             in
-            Printf.printf "%-8s %6.0f ns %7d %6.1f MHz | %11d %12d %6d\n"
+            Printf.printf
+              "%-12s %6.0f ns %7d %6.1f MHz | %11d %12d %6d %10.2f\n"
               row.pl_kernel row.pl_target_ns row.pl_stages row.pl_clock_mhz
-              row.pl_greedy_bits row.pl_retimed_bits row.pl_moves;
+              row.pl_greedy_bits row.pl_retimed_bits row.pl_moves
+              row.pl_retime_ms;
             row)
-          [ 3.0; 5.0; 8.0 ])
+          targets)
       kernels
   in
   hr ();
@@ -801,9 +816,10 @@ let pipeline_section () =
         (Printf.sprintf
            "    { \"kernel\": \"%s\", \"target_ns\": %g, \"stages\": %d, \
             \"clock_mhz\": %.2f, \"greedy_latch_bits\": %d, \
-            \"retimed_latch_bits\": %d, \"retime_moves\": %d }%s\n"
+            \"retimed_latch_bits\": %d, \"retime_moves\": %d, \
+            \"retime_ms\": %.3f }%s\n"
            r.pl_kernel r.pl_target_ns r.pl_stages r.pl_clock_mhz
-           r.pl_greedy_bits r.pl_retimed_bits r.pl_moves
+           r.pl_greedy_bits r.pl_retimed_bits r.pl_moves r.pl_retime_ms
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
@@ -1326,34 +1342,44 @@ module Svc_metrics = Roccc_service.Metrics
 
 let soak_kernel c =
   Printf.sprintf
-    "void k(int A[16], int B[16]) { int i; for (i = 0; i < 16; i = i + 1) { \
-     B[i] = A[i] * %d + %d; } }"
-    c (c + 1)
+    "void k(int16 A[20], int32 B[16]) { int i; for (i = 0; i < 16; i = i + \
+     1) { B[i] = A[i] * %d + A[i+1] * %d + A[i+2] * %d + A[i+3] * %d + \
+     A[i+4] * %d; } }"
+    c (c + 3) (c + 5) (c + 7) (c + 11)
 
-(* The mixed load: compile requests cycling over 26 distinct
-   (source x options) keys — so each run pays a batch of cold compiles up
-   front and mostly-warm cache traffic after — with a health probe every
-   40th line. Two of the keys are the stage kernels of the two-kernel
-   gallery network (examples/stream.c), so the soak also covers sources
-   carrying a [pipeline] declaration through the protocol. Generated
-   once and replayed identically at every worker count, so responses are
-   comparable across runs. *)
+(* The mixed load: compile requests over cold keys, each distinct
+   (source x options) key on two adjacent lines — the second is answered
+   from the cache, or, when the two land on different connections at
+   once, coalesces onto the first's single flight — with a health probe
+   every 40th line. The first two keys are the stage kernels of the
+   two-kernel gallery network (examples/stream.c), so the soak also covers
+   sources carrying a [pipeline] declaration through the protocol. Every
+   run starts from a fresh in-memory cache, so the stream is
+   compile-bound. Generated once and replayed identically at every worker
+   count, so responses are comparable across runs. *)
+let soak_request i =
+  let key = i / 2 in
+  if key < 2 then
+    Printf.sprintf {|"source":%S,"entry":%S|} Net.gallery_source
+      (if key = 0 then "fir" else "smooth")
+  else
+    Printf.sprintf {|"source":%S,"entry":"k","options":{"bus_elements":%d}|}
+      (soak_kernel key) (1 + (key mod 2))
+
+let soak_is_health i = i mod 40 = 39
+
 let soak_lines n =
   List.init n (fun i ->
-      if i mod 40 = 39 then Printf.sprintf {|{"id":"h%04d","type":"health"}|} i
-      else
-        let key = i mod 26 in
-        if key >= 24 then
-          let entry = if key = 24 then "fir" else "smooth" in
-          Printf.sprintf {|{"id":"r%04d","source":%S,"entry":%S}|} i
-            Net.gallery_source entry
-        else
-          let source = soak_kernel (key mod 6) in
-          let bus = if key / 6 mod 2 = 0 then 1 else 2 in
-          let unroll = if key / 12 = 0 then 0 else 2 in
-          Printf.sprintf
-            {|{"id":"r%04d","source":%S,"entry":"k","options":{"bus_elements":%d,"unroll_inner_max":%d}}|}
-            i source bus unroll)
+      if soak_is_health i then
+        Printf.sprintf {|{"id":"h%05d","type":"health"}|} i
+      else Printf.sprintf {|{"id":"r%05d",%s}|} i (soak_request i))
+
+let soak_distinct_keys n =
+  let keys = Hashtbl.create n in
+  for i = 0 to n - 1 do
+    if not (soak_is_health i) then Hashtbl.replace keys (soak_request i) ()
+  done;
+  Hashtbl.length keys
 
 (* Push one request stream through a real Unix socket: a spawned domain
    accepts and serves, a writer domain feeds the lines, and the calling
@@ -1361,6 +1387,9 @@ let soak_lines n =
    is shed (shedding is timing-dependent and would break the
    byte-identical comparison). *)
 let soak_run ?trace ~workers (lines : string list) =
+  (* the previous run's cache is garbage now: collect it here rather than
+     inside the next timed run *)
+  Gc.compact ();
   let cache = Svc_cache.create () in
   let limits =
     { Server.default_limits with
@@ -1427,6 +1456,7 @@ let soak_run ?trace ~workers (lines : string list) =
    exists for; the returned cache stats expose [flights] (executions)
    and [coalesced]. *)
 let soak_run_concurrent ?(workers = 4) ~conns (lines : string list) =
+  Gc.compact ();
   let cache = Svc_cache.create () in
   let limits =
     { Server.default_limits with
@@ -1526,57 +1556,105 @@ let structured_status line =
     | Some ("ok" | "error" | "overloaded" | "deadline_exceeded") -> true
     | _ -> false)
 
+(* Size the stream so that even the fastest configuration (4 workers
+   behind 4 simultaneous connections) runs for at least a second on this
+   host: time the faster of two pilots there (the first also warms up)
+   and scale it, with headroom. A run of a few ms measures scheduling
+   noise, not throughput. *)
+let soak_size () =
+  let pilot = 1000 in
+  let time_pilot () =
+    let _, wall, _, _ =
+      soak_run_concurrent ~workers:4 ~conns:4 (soak_lines pilot)
+    in
+    wall
+  in
+  let wall = Float.min (time_pilot ()) (time_pilot ()) in
+  min 40_000
+    (max pilot (int_of_float (ceil (float_of_int pilot *. 1.5 /. wall))))
+
+let soak_repeats = 3
+
+let rps responses wall = float_of_int (List.length responses) /. wall
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* Each configuration's runs, repeated [soak_repeats] times in interleaved
+   rounds (every configuration once per round) so slow drift of the host
+   hits all configurations alike. *)
+let soak_rounds configs run =
+  let rounds =
+    List.init soak_repeats (fun round ->
+        List.map (fun cfg -> run ~round cfg) configs)
+  in
+  List.mapi (fun i cfg -> cfg, List.map (fun r -> List.nth r i) rounds) configs
+
 let serve_soak_section () =
   section "Serve soak - mixed load through the Unix socket at 1/2/4 workers";
-  let n = 1200 in
+  let n = soak_size () in
   let lines = soak_lines n in
+  let distinct_keys = soak_distinct_keys n in
+  Printf.printf
+    "%d requests per run (%d distinct compile keys), %d repeats per \
+     configuration\n%!"
+    n distinct_keys soak_repeats;
   let worker_counts = [ 1; 2; 4 ] in
   let trace = Svc_trace.create () in
   let runs =
-    List.map
-      (fun w ->
-        (* trace only the widest run: its per-shard counter tracks show
-           the striped cache under the most concurrency *)
-        let trace = if w = 4 then Some trace else None in
+    soak_rounds worker_counts (fun ~round w ->
+        (* trace only the widest run of the last round: its per-shard
+           counter tracks show the striped cache under the most
+           concurrency *)
+        let trace =
+          if w = 4 && round = soak_repeats - 1 then Some trace else None
+        in
         let responses, wall, snap = soak_run ?trace ~workers:w lines in
-        let rps = float_of_int (List.length responses) /. wall in
         Printf.printf
-          "%d worker(s): %4d responses in %7.1f ms (%7.1f req/s, p50 %.2f \
+          "%d worker(s): %5d responses in %7.1f ms (%7.1f req/s, p50 %.2f \
            ms, p95 %.2f ms)\n%!"
-          w (List.length responses) (1e3 *. wall) rps
+          w (List.length responses) (1e3 *. wall) (rps responses wall)
           snap.Svc_metrics.s_p50_ms snap.Svc_metrics.s_p95_ms;
-        w, responses, wall, snap)
-      worker_counts
+        responses, wall, snap)
   in
+  let median_rps reps =
+    median (List.map (fun (rs, wall, _) -> rps rs wall) reps)
+  in
+  let all_runs = List.concat_map snd runs in
   (* gate 1: every run answered every line, and the compile responses are
-     byte-identical across worker counts (after stripping timing/origin) *)
+     byte-identical across worker counts and repeats (after stripping
+     timing/origin) *)
   let all_answered =
-    List.for_all (fun (_, rs, _, _) -> List.length rs = n) runs
+    List.for_all (fun (rs, _, _) -> List.length rs = n) all_runs
   in
-  let canonicals = List.map (fun (_, rs, _, _) -> soak_canonical rs) runs in
+  let canonicals = List.map (fun (rs, _, _) -> soak_canonical rs) all_runs in
   let byte_identical =
     all_answered
     && (match canonicals with
        | first :: rest -> List.for_all (fun c -> c = first) rest
        | [] -> false)
   in
-  (* gate 2: throughput must not collapse as workers grow. On a
+  (* gate 2: median throughput must not collapse as workers grow. On a
      single-core host every worker count resolves to one domain, so the
      gate is skipped there — explicitly, not vacuously. *)
   let multi_core = Roccc_service.Pool.recommended () > 1 in
   let tolerance = 0.9 in
-  let rps_of (_, rs, wall, _) = float_of_int (List.length rs) /. wall in
-  let throughput_ok =
-    let rec non_decreasing = function
-      | a :: (b :: _ as rest) ->
-        rps_of b >= tolerance *. rps_of a && non_decreasing rest
-      | _ -> true
-    in
-    non_decreasing runs
+  let rec non_decreasing = function
+    | a :: (b :: _ as rest) -> b >= tolerance *. a && non_decreasing rest
+    | _ -> true
   in
+  let throughput_ok =
+    non_decreasing (List.map (fun (_, reps) -> median_rps reps) runs)
+  in
+  List.iter
+    (fun (w, reps) ->
+      Printf.printf "%d worker(s): median %.1f req/s\n" w (median_rps reps))
+    runs;
   Printf.printf "responses byte-identical across worker counts: %s\n"
     (if byte_identical then "yes" else "NO");
-  Printf.printf "throughput non-decreasing with workers: %s\n"
+  Printf.printf "median throughput non-decreasing with workers: %s\n"
     (if not multi_core then "skipped (single-core host)"
      else if throughput_ok then "yes"
      else "NO");
@@ -1602,60 +1680,61 @@ let serve_soak_section () =
      routed and byte-identical to the sequential runs, concurrent
      duplicate keys must coalesce onto single-flight leaders
      (executions <= distinct keys), and fanning the stream out across
-     connections must not cost throughput. *)
+     connections must not cost median throughput. *)
   let conn_counts = [ 1; 4 ] in
   let conc_runs =
-    List.map
-      (fun conns ->
+    soak_rounds conn_counts (fun ~round:_ conns ->
         let responses, wall, snap, cstats =
           soak_run_concurrent ~workers:4 ~conns lines
         in
         Printf.printf
-          "%d connection(s): %4d responses in %7.1f ms (%7.1f req/s, %d \
+          "%d connection(s): %5d responses in %7.1f ms (%7.1f req/s, %d \
            executions, %d coalesced)\n%!"
-          conns (List.length responses) (1e3 *. wall)
-          (float_of_int (List.length responses) /. wall)
+          conns (List.length responses) (1e3 *. wall) (rps responses wall)
           cstats.Svc_cache.flights cstats.Svc_cache.coalesced;
-        conns, responses, wall, snap, cstats)
-      conn_counts
+        responses, wall, snap, cstats)
   in
+  let conc_all = List.concat_map snd conc_runs in
   let conc_all_answered =
-    List.for_all (fun (_, rs, _, _, _) -> List.length rs = n) conc_runs
+    List.for_all (fun (rs, _, _, _) -> List.length rs = n) conc_all
   in
   let concurrent_byte_identical =
     (* vs the sequential-connection runs above AND across each other *)
     conc_all_answered
     && (match canonicals with
        | first :: _ ->
-         List.for_all
-           (fun (_, rs, _, _, _) -> soak_canonical rs = first)
-           conc_runs
+         List.for_all (fun (rs, _, _, _) -> soak_canonical rs = first) conc_all
        | [] -> false)
   in
-  let distinct_keys = 26 in
   let coalesce_ok =
     List.for_all
-      (fun (_, _, _, _, (st : Svc_cache.stats)) ->
+      (fun (_, _, _, (st : Svc_cache.stats)) ->
         st.Svc_cache.flights >= 1 && st.Svc_cache.flights <= distinct_keys)
-      conc_runs
+      conc_all
   in
-  let conc_rps_of (_, rs, wall, _, _) =
-    float_of_int (List.length rs) /. wall
+  let conc_median_rps reps =
+    median (List.map (fun (rs, wall, _, _) -> rps rs wall) reps)
   in
+  let min_wall =
+    List.fold_left Float.min infinity
+      (List.map (fun (_, wall, _) -> wall) all_runs
+      @ List.map (fun (_, wall, _, _) -> wall) conc_all)
+  in
+  Printf.printf "shortest run: %.2f s\n" min_wall;
   let concurrent_throughput_ok =
-    let rec non_decreasing = function
-      | a :: (b :: _ as rest) ->
-        conc_rps_of b >= tolerance *. conc_rps_of a && non_decreasing rest
-      | _ -> true
-    in
-    non_decreasing conc_runs
+    non_decreasing (List.map (fun (_, reps) -> conc_median_rps reps) conc_runs)
   in
+  List.iter
+    (fun (c, reps) ->
+      Printf.printf "%d connection(s): median %.1f req/s\n" c
+        (conc_median_rps reps))
+    conc_runs;
   Printf.printf "concurrent responses byte-identical to sequential: %s\n"
     (if concurrent_byte_identical then "yes" else "NO");
   Printf.printf "duplicate keys coalesce (executions <= %d): %s\n"
     distinct_keys
     (if coalesce_ok then "yes" else "NO");
-  Printf.printf "throughput non-decreasing 1 -> 4 connections: %s\n"
+  Printf.printf "median throughput non-decreasing 1 -> 4 connections: %s\n"
     (if not multi_core then "skipped (single-core host)"
      else if concurrent_throughput_ok then "yes"
      else "NO");
@@ -1664,61 +1743,75 @@ let serve_soak_section () =
   close_out oc;
   Printf.printf "wrote serve_soak_trace.json\n";
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"requests_per_run\": %d,\n" n);
-  Buffer.add_string buf "  \"distinct_compile_keys\": 24,\n";
-  Buffer.add_string buf "  \"runs\": [\n";
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let sep i l = if i = List.length l - 1 then "" else "," in
+  add "{\n";
+  add "  \"requests_per_run\": %d,\n" n;
+  add "  \"distinct_compile_keys\": %d,\n" distinct_keys;
+  add "  \"repeats\": %d,\n" soak_repeats;
+  add "  \"runs\": [\n";
+  let flat =
+    List.concat_map
+      (fun (w, reps) -> List.mapi (fun r run -> w, r, run) reps)
+      runs
+  in
   List.iteri
-    (fun i (w, rs, wall, (snap : Svc_metrics.snapshot)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"workers\": %d, \"responses\": %d, \"wall_s\": %.6f, \
-            \"throughput_rps\": %.3f, \"p50_ms\": %.4f, \"p95_ms\": %.4f, \
-            \"ok\": %d, \"health\": %d }%s\n"
-           w (List.length rs) wall
-           (float_of_int (List.length rs) /. wall)
-           snap.Svc_metrics.s_p50_ms snap.Svc_metrics.s_p95_ms
-           snap.Svc_metrics.s_ok snap.Svc_metrics.s_health
-           (if i = List.length runs - 1 then "" else ",")))
+    (fun i (w, r, (rs, wall, (snap : Svc_metrics.snapshot))) ->
+      add
+        "    { \"workers\": %d, \"repeat\": %d, \"responses\": %d, \
+         \"wall_s\": %.6f, \"throughput_rps\": %.3f, \"p50_ms\": %.4f, \
+         \"p95_ms\": %.4f, \"ok\": %d, \"health\": %d }%s\n"
+        w r (List.length rs) wall (rps rs wall)
+        snap.Svc_metrics.s_p50_ms snap.Svc_metrics.s_p95_ms
+        snap.Svc_metrics.s_ok snap.Svc_metrics.s_health (sep i flat))
+    flat;
+  add "  ],\n";
+  add "  \"median_throughput_rps\": [\n";
+  List.iteri
+    (fun i (w, reps) ->
+      add "    { \"workers\": %d, \"rps\": %.3f }%s\n" w (median_rps reps)
+        (sep i runs))
     runs;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"byte_identical\": %b,\n" byte_identical);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"throughput_tolerance\": %.2f,\n" tolerance);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"throughput_ok\": %s,\n"
-       (if not multi_core then "\"skipped: single-core host\""
-        else string_of_bool throughput_ok));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"faulted_requests\": %d,\n" fault_n);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"faults_structured\": %b,\n" faults_structured);
-  Buffer.add_string buf "  \"concurrent_runs\": [\n";
+  add "  ],\n";
+  add "  \"byte_identical\": %b,\n" byte_identical;
+  add "  \"throughput_tolerance\": %.2f,\n" tolerance;
+  add "  \"throughput_ok\": %s,\n"
+    (if not multi_core then "\"skipped: single-core host\""
+     else string_of_bool throughput_ok);
+  add "  \"faulted_requests\": %d,\n" fault_n;
+  add "  \"faults_structured\": %b,\n" faults_structured;
+  add "  \"concurrent_runs\": [\n";
+  let conc_flat =
+    List.concat_map
+      (fun (c, reps) -> List.mapi (fun r run -> c, r, run) reps)
+      conc_runs
+  in
   List.iteri
-    (fun i (conns, rs, wall, (snap : Svc_metrics.snapshot),
-            (cstats : Svc_cache.stats)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"connections\": %d, \"responses\": %d, \"wall_s\": %.6f, \
-            \"throughput_rps\": %.3f, \"ok\": %d, \"executions\": %d, \
-            \"coalesced\": %d, \"conns_accepted\": %d }%s\n"
-           conns (List.length rs) wall
-           (float_of_int (List.length rs) /. wall)
-           snap.Svc_metrics.s_ok cstats.Svc_cache.flights
-           cstats.Svc_cache.coalesced snap.Svc_metrics.s_conns
-           (if i = List.length conc_runs - 1 then "" else ",")))
+    (fun i (conns, r, (rs, wall, (snap : Svc_metrics.snapshot),
+                       (cstats : Svc_cache.stats))) ->
+      add
+        "    { \"connections\": %d, \"repeat\": %d, \"responses\": %d, \
+         \"wall_s\": %.6f, \"throughput_rps\": %.3f, \"ok\": %d, \
+         \"executions\": %d, \"coalesced\": %d, \"conns_accepted\": %d \
+         }%s\n"
+        conns r (List.length rs) wall (rps rs wall)
+        snap.Svc_metrics.s_ok cstats.Svc_cache.flights
+        cstats.Svc_cache.coalesced snap.Svc_metrics.s_conns (sep i conc_flat))
+    conc_flat;
+  add "  ],\n";
+  add "  \"concurrent_median_throughput_rps\": [\n";
+  List.iteri
+    (fun i (c, reps) ->
+      add "    { \"connections\": %d, \"rps\": %.3f }%s\n" c
+        (conc_median_rps reps) (sep i conc_runs))
     conc_runs;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"concurrent_byte_identical\": %b,\n"
-       concurrent_byte_identical);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"coalesce_ok\": %b,\n" coalesce_ok);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"concurrent_throughput_ok\": %s\n}\n"
-       (if not multi_core then "\"skipped: single-core host\""
-        else string_of_bool concurrent_throughput_ok));
+  add "  ],\n";
+  add "  \"min_wall_s\": %.3f,\n" min_wall;
+  add "  \"concurrent_byte_identical\": %b,\n" concurrent_byte_identical;
+  add "  \"coalesce_ok\": %b,\n" coalesce_ok;
+  add "  \"concurrent_throughput_ok\": %s\n}\n"
+    (if not multi_core then "\"skipped: single-core host\""
+     else string_of_bool concurrent_throughput_ok);
   let oc = open_out "BENCH_serve_soak.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -137,11 +137,38 @@ let check_feedback_stages (tm : Timing.t) (stages : int array) : unit =
    then earlier), accepting a move only when the total latch bits strictly
    decrease and the worst per-stage delay stays within [budget]. Pinned:
    LPR/SNX instructions and everything on a feedback path. Terminates
-   because every accepted move strictly decreases an integer. *)
+   because every accepted move strictly decreases an integer.
+
+   Each trial move of [i] from stage [s] to [s'] is priced as a delta —
+   O(users of the registers [i] touches + |stage s'|), not O(netlist) —
+   and equals what a full {!Timing.latch_bits} / {!Timing.stage_delays}
+   recompute would give:
+   - latch bits: only the chains of the registers [i] defines or reads
+     change. Each is charged [max 0 (last_use - def) × width], with
+     [last_use] its latest consumer's stage ([stage_count] for an output
+     port), recomputed before and after the move from its producer and
+     consumers;
+   - stage delay: only stages [s] and [s'] change members, and no other
+     stage gains or loses a same-stage producer. Every other stage is
+     already within [budget], which starts as the worst stage delay and
+     is only ever checked. Losing a member never lengthens a stage (each
+     remaining finish time can only fall), so stage [s] stays within it
+     too, and only [s'] is recomputed — by the {!Timing.stage_delays}
+     operations, in the same topological order. *)
+
+type reg_charge = {
+  rc_width : int;
+  rc_def : int;         (* producer's ti_index; -1 = external input *)
+  rc_uses : int array;  (* consumers' ti_indexes *)
+  rc_out : bool;        (* output port: carried to the final boundary *)
+}
+
 let retime_stages (tm : Timing.t) (stages : int array) ~(stage_count : int)
     ~(budget : float) : int =
+  let tis = Array.of_list tm.Timing.instrs in
+  let n = Array.length tis in
   let pinned = Array.make (Array.length stages) false in
-  List.iter
+  Array.iter
     (fun (ti : Timing.tinstr) ->
       (* multi-stage regions are pinned: retiming must never move into or
          split them *)
@@ -149,18 +176,121 @@ let retime_stages (tm : Timing.t) (stages : int array) ~(stage_count : int)
       match ti.Timing.ti.Instr.op with
       | Instr.Lpr _ | Instr.Snx _ -> pinned.(ti.Timing.ti_index) <- true
       | _ -> ())
-    tm.Timing.instrs;
+    tis;
   List.iter
     (fun (_, members) ->
       List.iter
         (fun (ti : Timing.tinstr) -> pinned.(ti.Timing.ti_index) <- true)
         members)
     (Timing.feedback_paths tm);
+  (* ---- pre-index: producers, register charges, stage members ---- *)
+  let producer_of r =
+    match Hashtbl.find_opt tm.Timing.producer r with
+    | Some p -> p.Timing.ti_index
+    | None -> -1
+  in
+  let outputs = Hashtbl.create 16 in
+  List.iter
+    (fun (port : Proc.port) -> Hashtbl.replace outputs port.Proc.port_reg ())
+    tm.Timing.dp.Graph.output_ports;
+  let charges = Hashtbl.create 64 in
+  let charge r =
+    match Hashtbl.find_opt charges r with
+    | Some c -> c
+    | None ->
+      let uses =
+        Option.value (Hashtbl.find_opt tm.Timing.consumers r) ~default:[]
+      in
+      let c =
+        { rc_width = Timing.reg_width tm r;
+          rc_def = producer_of r;
+          rc_uses =
+            Array.of_list
+              (List.map (fun (u : Timing.tinstr) -> u.Timing.ti_index) uses);
+          rc_out = Hashtbl.mem outputs r }
+      in
+      Hashtbl.replace charges r c;
+      c
+  in
+  let src_producers =
+    Array.map
+      (fun (ti : Timing.tinstr) ->
+        Array.of_list (List.map producer_of ti.Timing.ti.Instr.srcs))
+      tis
+  in
+  let dst_uses =
+    Array.map
+      (fun (ti : Timing.tinstr) ->
+        match ti.Timing.ti.Instr.dst with
+        | Some d -> (charge d).rc_uses
+        | None -> [||])
+      tis
+  in
+  (* the registers whose chains a move of the instruction can change *)
+  let touched =
+    Array.map
+      (fun (ti : Timing.tinstr) ->
+        let i = ti.Timing.ti in
+        let regs = Option.to_list i.Instr.dst @ i.Instr.srcs in
+        Array.of_list (List.map charge (List.sort_uniq compare regs)))
+      tis
+  in
+  let members = Array.make (max 1 stage_count) [] in
+  let last_stage = Array.length members - 1 in
+  for idx = n - 1 downto 0 do
+    let s = stages.(idx) in
+    for j = max 0 s to min (s + tis.(idx).Timing.ti_stages - 1) last_stage do
+      members.(j) <- idx :: members.(j)
+    done
+  done;
+  (* ---- delta pricing ---- *)
+  let charge_bits c =
+    let def = if c.rc_def < 0 then 0 else stages.(c.rc_def) in
+    let last =
+      if c.rc_out then stage_count
+      else Array.fold_left (fun acc u -> max acc stages.(u)) (-1) c.rc_uses
+    in
+    max 0 (last - def) * c.rc_width
+  in
+  let touched_bits idx =
+    Array.fold_left (fun acc c -> acc + charge_bits c) 0 touched.(idx)
+  in
+  (* members are visited in topological order, so a same-stage producer
+     [p < idx] already has its finish time from this visit; a later one
+     has none yet and contributes 0.0 *)
+  let finish = Array.make n 0.0 in
+  let stage_delay j =
+    List.fold_left
+      (fun delay idx ->
+        let ti = tis.(idx) in
+        if ti.Timing.ti_stages > 1 then
+          if ti.Timing.ti_delay > delay then ti.Timing.ti_delay else delay
+        else begin
+          let start =
+            Array.fold_left
+              (fun acc p ->
+                if p >= 0 && p < idx
+                   && tis.(p).Timing.ti_stages = 1
+                   && stages.(p) = j
+                then Float.max acc finish.(p)
+                else acc)
+              0.0 src_producers.(idx)
+          in
+          let f = start +. ti.Timing.ti_delay in
+          finish.(idx) <- f;
+          if f > delay then f else delay
+        end)
+      0.0 members.(j)
+  in
+  let within_budget j = stage_delay j <= budget +. 1e-9 in
+  let rec insert idx = function
+    | m :: rest when m < idx -> m :: insert idx rest
+    | l -> idx :: l
+  in
   let stage_of (ti : Timing.tinstr) = stages.(ti.Timing.ti_index) in
   let current = ref (Timing.latch_bits tm ~stage_of ~stage_count) in
   let moves = ref 0 in
-  let try_move (ti : Timing.tinstr) (delta : int) : bool =
-    let idx = ti.Timing.ti_index in
+  let try_move idx (delta : int) : bool =
     if pinned.(idx) then false
     else begin
       let s = stages.(idx) in
@@ -172,43 +302,40 @@ let retime_stages (tm : Timing.t) (stages : int array) ~(stage_count : int)
             (* push later: every consumer must still be reachable — at s'
                or later, strictly later for staged consumers (their
                operands are latched at the region entry boundary) *)
-            (match ti.Timing.ti.Instr.dst with
-            | Some d ->
-              List.for_all
-                (fun (c : Timing.tinstr) ->
-                  stage_of c
-                  >= s' + if c.Timing.ti_stages > 1 then 1 else 0)
-                (Option.value
-                   (Hashtbl.find_opt tm.Timing.consumers d)
-                   ~default:[])
-            | None -> true)
+            Array.for_all
+              (fun c ->
+                stages.(c)
+                >= s' + if tis.(c).Timing.ti_stages > 1 then 1 else 0)
+              dst_uses.(idx)
           else
             (* pull earlier: every producer's value must be available at
                s' — single-cycle producers at s' or earlier, multi-stage
                regions fully retired (external operands are available from
                stage 0) *)
-            List.for_all
-              (fun r ->
-                match Hashtbl.find_opt tm.Timing.producer r with
-                | Some p -> stage_of p + Timing.region_span p <= s'
-                | None -> true)
-              ti.Timing.ti.Instr.srcs
+            Array.for_all
+              (fun p -> p < 0 || stages.(p) + Timing.region_span tis.(p) <= s')
+              src_producers.(idx)
         in
         if not valid then false
         else begin
+          let before = touched_bits idx in
           stages.(idx) <- s';
-          let bits = Timing.latch_bits tm ~stage_of ~stage_count in
-          let worst =
-            Array.fold_left Float.max 0.0
-              (Timing.stage_delays tm ~stage_of ~stage_count)
-          in
-          if bits < !current && worst <= budget +. 1e-9 then begin
+          let bits = !current - before + touched_bits idx in
+          let old_s' = members.(s') in
+          if bits < !current
+             && begin
+               members.(s') <- insert idx old_s';
+               within_budget s'
+             end
+          then begin
+            members.(s) <- List.filter (fun m -> m <> idx) members.(s);
             current := bits;
             incr moves;
             true
           end
           else begin
             stages.(idx) <- s;
+            members.(s') <- old_s';
             false
           end
         end
@@ -220,11 +347,12 @@ let retime_stages (tm : Timing.t) (stages : int array) ~(stage_count : int)
   while !improved && !rounds < 64 do
     improved := false;
     incr rounds;
-    List.iter
-      (fun ti -> if try_move ti 1 then improved := true)
-      (List.rev tm.Timing.instrs);
-    List.iter (fun ti -> if try_move ti (-1) then improved := true)
-      tm.Timing.instrs
+    for idx = n - 1 downto 0 do
+      if try_move idx 1 then improved := true
+    done;
+    for idx = 0 to n - 1 do
+      if try_move idx (-1) then improved := true
+    done
   done;
   !moves
 

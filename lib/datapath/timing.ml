@@ -113,9 +113,11 @@ let build ?(target_ns = 5.0) ?stage_budget ?decomp (dp : Graph.t)
       List.iter
         (fun r ->
           let cur = Option.value (Hashtbl.find_opt consumers r) ~default:[] in
-          Hashtbl.replace consumers r (cur @ [ ti ]))
+          Hashtbl.replace consumers r (ti :: cur))
         ti.ti.Instr.srcs)
     instrs;
+  (* built newest-first: restore topological order once per register *)
+  Hashtbl.filter_map_inplace (fun _ cs -> Some (List.rev cs)) consumers;
   (* ---- ASAP: greedy delay-chunked levels, forward ----
      An instruction starts when its latest same-stage operand finishes; when
      the chain would exceed [target_ns] (and the operands arrive mid-stage,

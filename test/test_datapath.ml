@@ -434,6 +434,45 @@ let test_retiming_fixpoint () =
   Alcotest.(check int) "latch bits stable" p.Pipeline.latch_bits
     again.Pipeline.latch_bits
 
+let test_retiming_matches_oracle () =
+  (* the delta-priced retimer accepts exactly the moves of the
+     full-recompute reference, on every gallery kernel and a few small
+     examples, at every clock target *)
+  let module Kernels = Roccc_core.Kernels in
+  let module Driver = Roccc_core.Driver in
+  let compiled =
+    List.map
+      (fun (b : Kernels.benchmark) -> b.Kernels.bench_name, Kernels.compile b)
+      (Kernels.gallery @ [ Kernels.wavelet_cols ])
+    @ List.map
+        (fun (src, entry) -> entry, Driver.compile ~entry src)
+        [ fir_source, "fir"; acc_source, "acc"; if_else_source, "if_else";
+          (* an output produced stages before the last one: its latch
+             chain runs to the final boundary *)
+          ( "void k(int8 P[8][8], int32 Q[6][6]) {\n\
+            \  int r, c;\n\
+            \  for (r = 0; r < 6; r++) {\n\
+            \    for (c = 0; c < 6; c++) {\n\
+            \      Q[r][c] = (P[r][c+2] * P[r+2][c]) * P[r][c+2];\n\
+            \    }\n\
+            \  }\n\
+             }",
+            "k" ) ]
+  in
+  List.iter
+    (fun (name, (c : Driver.compiled)) ->
+      let o = c.Driver.options in
+      List.iter
+        (fun tns ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s@%.0fns: same as the oracle" name tns)
+            []
+            (Retime_oracle.mismatches ~target_ns:tns
+               ~stage_budget:o.Driver.stage_budget ~decomp:o.Driver.decomp
+               c.Driver.dp c.Driver.widths))
+        [ 3.0; 5.0; 8.0 ])
+    compiled
+
 (* ------------------------------------------------------------------ *)
 (* Verify rejects corrupted stagings                                   *)
 (* ------------------------------------------------------------------ *)
@@ -592,6 +631,8 @@ let suites =
         test_retiming_never_worse;
       Alcotest.test_case "retiming reaches a fixpoint" `Quick
         test_retiming_fixpoint;
+      Alcotest.test_case "retiming matches the full-recompute oracle" `Quick
+        test_retiming_matches_oracle;
       Alcotest.test_case "verify rejects a backward dataflow edge" `Quick
         test_verify_backward_edge;
       Alcotest.test_case "verify rejects a split feedback latch" `Quick

@@ -1,11 +1,23 @@
 (* Second-wave differential fuzzing: random kernels WITH loop-carried
    feedback (conditional and unconditional accumulation), random 2-D window
    kernels, and mixed-geometry inputs — always checking the cycle-accurate
-   hardware simulation against the C interpreter. *)
+   hardware simulation against the C interpreter, and the retimer against
+   its full-recompute oracle. *)
 
 module Driver = Roccc_core.Driver
 
 let qcheck_case = QCheck_alcotest.to_alcotest
+
+(* The delta-priced retimer agrees with the full-recompute oracle on the
+   compiled kernel, at its own clock target and at a tight one. *)
+let retimer_matches_oracle (c : Driver.compiled) =
+  List.for_all
+    (fun target_ns ->
+      Retime_oracle.mismatches ~target_ns
+        ~stage_budget:c.Driver.options.Driver.stage_budget
+        ~decomp:c.Driver.options.Driver.decomp c.Driver.dp c.Driver.widths
+      = [])
+    [ c.Driver.options.Driver.target_ns; 3.0 ]
 
 (* ------------------------------------------------------------------ *)
 (* Feedback kernels                                                    *)
@@ -52,7 +64,7 @@ let prop_feedback_kernels_verify =
       in
       match Driver.compile ~entry:"k" source with
       | exception Driver.Error _ -> QCheck.assume_fail ()
-      | c -> Driver.verify ~arrays c = [])
+      | c -> Driver.verify ~arrays c = [] && retimer_matches_oracle c)
 
 (* ------------------------------------------------------------------ *)
 (* 2-D window kernels                                                  *)
@@ -94,7 +106,7 @@ let prop_2d_kernels_verify =
       in
       match Driver.compile ~entry:"k" source with
       | exception Driver.Error _ -> QCheck.assume_fail ()
-      | c -> Driver.verify ~arrays c = [])
+      | c -> Driver.verify ~arrays c = [] && retimer_matches_oracle c)
 
 (* ------------------------------------------------------------------ *)
 (* Mixed input geometries                                              *)

@@ -235,35 +235,39 @@ let dump_passes =
   [ "parse"; "constant-fold"; "lower-to-suifvm"; "datapath-build";
     "pipelining"; "retiming" ]
 
-let collect_dumps (b : Kernels.benchmark) : (string * string) list =
+let collect_dumps ?(passes = dump_passes) (b : Kernels.benchmark) :
+    (string * string) list =
   let dumps = ref [] in
   let config =
     { (Pass.default_config ()) with
-      Pass.dump_after = dump_passes;
+      Pass.dump_after = passes;
       on_dump = (fun name text -> dumps := !dumps @ [ name, text ]) }
   in
   let (_ : Driver.compiled) = compile_with config b in
   (* the second constant-fold run overwrites the first: keep the last dump
-     per pass name, in dump_passes order *)
+     per pass name, in [passes] order *)
   List.map
     (fun name ->
       match List.rev (List.filter (fun (n, _) -> n = name) !dumps) with
       | (_, text) :: _ -> name, text
       | [] -> Alcotest.failf "no dump for %s" name)
-    dump_passes
+    passes
 
-let golden_path name = Printf.sprintf "golden/fir.%s.txt" name
+let check_golden kernel (name, text) =
+  let path = Printf.sprintf "golden/%s.%s.txt" kernel name in
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let expected = really_input_string ic n in
+  close_in ic;
+  Alcotest.(check string)
+    (Printf.sprintf "%s dump after %s" kernel name)
+    expected text
 
 let test_dump_golden () =
-  List.iter
-    (fun (name, text) ->
-      let path = golden_path name in
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let expected = really_input_string ic n in
-      close_in ic;
-      Alcotest.(check string) (Printf.sprintf "dump after %s" name) expected text)
-    (collect_dumps Kernels.fir)
+  List.iter (check_golden "fir") (collect_dumps Kernels.fir);
+  (* the busiest retimer run of the gallery: 191 moves, 2054 -> 1282 bits *)
+  List.iter (check_golden "square_root")
+    (collect_dumps ~passes:[ "retiming" ] Kernels.square_root)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic recompiles (resettable id generators)                 *)

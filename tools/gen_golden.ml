@@ -11,13 +11,19 @@ let dump_passes =
   [ "parse"; "constant-fold"; "lower-to-suifvm"; "datapath-build";
     "pipelining"; "retiming" ]
 
-let () =
-  let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
-  let b = Kernels.fir in
+let write dir file text =
+  let path = Filename.concat dir file in
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  Printf.printf "wrote %s (%d bytes)\n" path (String.length text)
+
+(* The last dump per pass name, in [passes] order. *)
+let dumps_of passes (b : Kernels.benchmark) =
   let dumps = ref [] in
   let config =
     { (Pass.default_config ()) with
-      Pass.dump_after = dump_passes;
+      Pass.dump_after = passes;
       on_dump = (fun name text -> dumps := !dumps @ [ name, text ]) }
   in
   let (_ : Driver.compiled) =
@@ -25,17 +31,23 @@ let () =
       ~options:(b.Kernels.tune Driver.default_options)
       ~luts:b.Kernels.luts ~entry:b.Kernels.entry b.Kernels.source
   in
-  List.iter
+  List.map
     (fun name ->
       match List.rev (List.filter (fun (n, _) -> n = name) !dumps) with
-      | (_, text) :: _ ->
-        let path = Filename.concat dir (Printf.sprintf "fir.%s.txt" name) in
-        let oc = open_out_bin path in
-        output_string oc text;
-        close_out oc;
-        Printf.printf "wrote %s (%d bytes)\n" path (String.length text)
+      | (_, text) :: _ -> name, text
       | [] -> failwith ("no dump for " ^ name))
-    dump_passes;
+    passes
+
+let () =
+  let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
+  List.iter
+    (fun (name, text) -> write dir (Printf.sprintf "fir.%s.txt" name) text)
+    (dumps_of dump_passes Kernels.fir);
+  (* the busiest retimer run of the gallery *)
+  List.iter
+    (fun (name, text) ->
+      write dir (Printf.sprintf "square_root.%s.txt" name) text)
+    (dumps_of [ "retiming" ] Kernels.square_root);
   (* the process-network plan for the two-kernel gallery pipeline *)
   let module Net = Roccc_net.Net in
   let quiet =
@@ -44,9 +56,4 @@ let () =
   let net =
     Net.plan ~config:quiet ~name:Net.gallery_pipeline Net.gallery_source
   in
-  let text = Net.describe net in
-  let path = Filename.concat dir "stream.net.txt" in
-  let oc = open_out_bin path in
-  output_string oc text;
-  close_out oc;
-  Printf.printf "wrote %s (%d bytes)\n" path (String.length text)
+  write dir "stream.net.txt" (Net.describe net)
